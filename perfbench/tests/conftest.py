@@ -1,0 +1,11 @@
+"""Make the benchmark's modules and the program's source importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(BENCH))
+
+import harness  # noqa: E402
+
+harness.require_source()
